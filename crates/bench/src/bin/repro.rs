@@ -273,8 +273,8 @@ fn main() {
         write_json(&target, "BENCH_pr9", &result);
     }
 
-    // PR 10 zero-copy snapshot: v3 mapped open vs the materializing v1
-    // load vs parse+build, same entry point, answers checked identical.
+    // PR 10 zero-copy snapshot: mapped open vs parse+build, answers
+    // checked identical.
     // Explicit-only: it serializes large corpora twice per row and
     // writes BENCH_pr10.json.
     if args.exp == "pr10" {

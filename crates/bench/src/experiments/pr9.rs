@@ -24,7 +24,7 @@
 //! and the equality checks still bite; the perf gates are skipped.
 
 use crate::experiments::corpora;
-use ncq_core::{meet_sets, BatchQuery, Database, MeetBackend, MeetOptions};
+use ncq_core::{meet_sets, BatchQuery, Database, MeetOptions};
 use ncq_fulltext::{intersect, intersect_all, HitSet, Posting};
 use ncq_shard::ShardedDb;
 use ncq_simd::Mode;
@@ -276,7 +276,7 @@ pub fn run(quick: bool) -> Pr9Result {
     let sharded = ShardedDb::new(deep.clone(), 4);
     let inputs = [&alpha, &beta];
     rows.push(ab_row("sharded_gather", false, rounds, vector, || {
-        sharded.meet_hit_groups(&inputs, &options)
+        sharded.meet_hits(&inputs, &options)
     }));
 
     Pr9Result {

@@ -21,10 +21,10 @@ use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Typed execution failures of a fallible backend. Local engines never
-/// fail (their `try_*` defaults wrap the infallible surface); remote
-/// engines surface transport exhaustion and remote-side refusals here —
-/// never a panic, never a hang past the configured timeout budget.
+/// Typed execution failures of a backend. Local engines never fail;
+/// remote engines surface transport exhaustion and remote-side refusals
+/// here — never a panic, never a hang past the configured timeout
+/// budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendError {
     /// Every replica of the engine was tried (with retries and
@@ -94,59 +94,34 @@ pub trait MeetBackend: Send + Sync {
     fn store(&self) -> &MonetDb;
 
     /// Hits for one term (word, phrase or substring — the dispatch of
-    /// [`ncq_fulltext::search::term_hits`]).
-    fn search(&self, term: &str) -> HitSet;
+    /// [`ncq_fulltext::search::term_hits`]). Remote engines surface
+    /// transport exhaustion as a typed [`BackendError`]; every serving
+    /// path (the query evaluator, the server's batch executor, the
+    /// forest fan-out) calls this fallible surface, so a dead replica
+    /// set degrades to an error or a partial answer instead of a panic.
+    fn try_search(&self, term: &str) -> Result<HitSet, BackendError>;
 
     /// The generalized meet over hit groups (paper Fig. 5), ranked —
     /// the engine's equivalent of [`Database::meet_hits`].
-    fn meet_hit_groups(&self, inputs: &[&HitSet], options: &MeetOptions) -> Vec<Meet>;
-
-    /// A batch of meets at once, answers in query order. The default
-    /// evaluates serially; [`Database`] overrides with the
-    /// shared-evaluation executor ([`crate::batch`]) — either way,
-    /// answers are byte-identical to per-query [`MeetBackend::meet_hit_groups`].
-    fn meet_hit_groups_batch(&self, queries: &[crate::batch::BatchQuery<'_>]) -> Vec<Vec<Meet>> {
-        queries
-            .iter()
-            .map(|q| self.meet_hit_groups(&q.inputs, &q.options))
-            .collect()
-    }
-
-    /// The paper's signature query through this engine: search each
-    /// term, meet the hit groups, resolve an [`AnswerSet`].
-    fn meet_terms_answers(&self, terms: &[&str], options: &MeetOptions) -> AnswerSet {
-        let inputs: Vec<HitSet> = terms.iter().map(|t| self.search(t)).collect();
-        let refs: Vec<&HitSet> = inputs.iter().collect();
-        let meets = self.meet_hit_groups(&refs, options);
-        AnswerSet::from_meets(self.store(), meets)
-    }
-
-    // ----- fallible surface -----
-    //
-    // Local engines cannot fail, so the defaults below just wrap the
-    // infallible methods. Remote engines override these to surface
-    // transport exhaustion as typed [`BackendError`]s; every serving
-    // path (the query evaluator, the server's batch executor, the
-    // forest fan-out) calls the `try_*` forms so a dead replica set
-    // degrades to an error or a partial answer instead of a panic.
-
-    /// Fallible [`MeetBackend::search`].
-    fn try_search(&self, term: &str) -> Result<HitSet, BackendError> {
-        Ok(self.search(term))
-    }
-
-    /// Fallible [`MeetBackend::meet_hit_groups`].
     fn try_meet_hit_groups(
         &self,
         inputs: &[&HitSet],
         options: &MeetOptions,
-    ) -> Result<Vec<Meet>, BackendError> {
-        Ok(self.meet_hit_groups(inputs, options))
+    ) -> Result<Vec<Meet>, BackendError>;
+
+    /// [`MeetBackend::try_search`] for callers that treat an
+    /// unavailable engine as one without hits: a failure degrades to an
+    /// empty hit set.
+    fn search(&self, term: &str) -> HitSet {
+        self.try_search(term).unwrap_or_default()
     }
 
-    /// Fallible [`MeetBackend::meet_hit_groups_batch`]. The default
+    /// A batch of meets at once, answers in query order. The default
     /// evaluates query by query so remote engines surface per-call
-    /// transport errors; local engines override to share evaluation.
+    /// transport errors; [`Database`] overrides with the
+    /// shared-evaluation executor ([`crate::batch`]) — either way,
+    /// answers are byte-identical to per-query
+    /// [`MeetBackend::try_meet_hit_groups`].
     fn try_meet_hit_groups_batch(
         &self,
         queries: &[crate::batch::BatchQuery<'_>],
@@ -157,7 +132,8 @@ pub trait MeetBackend: Send + Sync {
             .collect()
     }
 
-    /// Fallible [`MeetBackend::meet_terms_answers`].
+    /// The paper's signature query through this engine: search each
+    /// term, meet the hit groups, resolve an [`AnswerSet`].
     fn try_meet_terms_answers(
         &self,
         terms: &[&str],
@@ -208,9 +184,11 @@ pub trait MeetBackend: Send + Sync {
     /// The signature query fanned out across *every* corpus: answers
     /// concatenate in catalog order (stable cross-corpus document
     /// order), each tagged with its corpus name. A single-document
-    /// engine is its own one-corpus forest, untagged.
+    /// engine is its own one-corpus forest, untagged; if it is
+    /// unavailable the answer is empty.
     fn meet_terms_forest(&self, terms: &[&str], options: &MeetOptions) -> AnswerSet {
-        self.meet_terms_answers(terms, options)
+        self.try_meet_terms_answers(terms, options)
+            .unwrap_or_default()
     }
 
     /// Cold-load a snapshot and splice it in as corpus `name`,
@@ -255,16 +233,16 @@ impl MeetBackend for Database {
         Database::store(self)
     }
 
-    fn search(&self, term: &str) -> HitSet {
-        Database::search(self, term)
+    fn try_search(&self, term: &str) -> Result<HitSet, BackendError> {
+        Ok(Database::search(self, term))
     }
 
-    fn meet_hit_groups(&self, inputs: &[&HitSet], options: &MeetOptions) -> Vec<Meet> {
-        self.meet_hits(inputs, options)
-    }
-
-    fn meet_hit_groups_batch(&self, queries: &[crate::batch::BatchQuery<'_>]) -> Vec<Vec<Meet>> {
-        self.meet_hits_batch(queries)
+    fn try_meet_hit_groups(
+        &self,
+        inputs: &[&HitSet],
+        options: &MeetOptions,
+    ) -> Result<Vec<Meet>, BackendError> {
+        Ok(self.meet_hits(inputs, options))
     }
 
     fn try_meet_hit_groups_batch(
@@ -299,14 +277,17 @@ mod tests {
         let db = Database::from_xml_str(FIGURE1).unwrap();
         let backend: &dyn MeetBackend = &db;
         assert_eq!(backend.search("Bit"), db.search("Bit"));
+        assert_eq!(backend.try_search("Bit").unwrap(), db.search("Bit"));
         let inputs = vec![db.search("Bit"), db.search("1999")];
         let refs: Vec<&HitSet> = inputs.iter().collect();
         let opts = MeetOptions::default();
         assert_eq!(
-            backend.meet_hit_groups(&refs, &opts),
+            backend.try_meet_hit_groups(&refs, &opts).unwrap(),
             db.meet_hits(&inputs, &opts)
         );
-        let answers = backend.meet_terms_answers(&["Bit", "1999"], &opts);
+        let answers = backend
+            .try_meet_terms_answers(&["Bit", "1999"], &opts)
+            .unwrap();
         assert_eq!(answers, db.meet_terms(&["Bit", "1999"]).unwrap());
     }
 }

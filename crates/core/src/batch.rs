@@ -33,7 +33,7 @@ use ncq_store::Oid;
 use std::collections::HashMap;
 
 /// One query of a batch: exactly the arguments of
-/// [`crate::MeetBackend::meet_hit_groups`].
+/// [`crate::MeetBackend::try_meet_hit_groups`].
 #[derive(Debug)]
 pub struct BatchQuery<'a> {
     /// The hit groups to meet, in input order (witness `input` indices

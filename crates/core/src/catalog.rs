@@ -37,10 +37,7 @@ use crate::db::Database;
 use crate::meet_multi::MeetOptions;
 use ncq_fulltext::HitSet;
 use ncq_store::manifest::{Manifest, ManifestEntry, ManifestError};
-use ncq_store::snapshot::{
-    checksum64, SnapshotError, SnapshotSource, SNAPSHOT_LEGACY_MAX, SNAPSHOT_VERSION,
-    SNAPSHOT_VERSION_V1,
-};
+use ncq_store::snapshot::{checksum64, SnapshotError, SNAPSHOT_VERSION};
 use ncq_store::{validate_corpus_name, MappedSnapshot, MonetDb, VerifyMode};
 use std::fmt;
 use std::path::Path;
@@ -145,21 +142,8 @@ impl From<ManifestError> for CatalogError {
 /// implementation behind both [`MeetBackend::meet_terms_forest`] and
 /// `ncq-server`'s `USE *` path (which decodes the hit groups through
 /// its per-worker term caches before calling this) — fan-out callers
-/// concatenate these in catalog order.
-pub fn corpus_tagged_meet(
-    name: &str,
-    backend: &dyn MeetBackend,
-    inputs: &[&HitSet],
-    options: &MeetOptions,
-) -> AnswerSet {
-    let meets = backend.meet_hit_groups(inputs, options);
-    let mut answers = AnswerSet::from_meets(backend.store(), meets);
-    answers.tag_corpus(name);
-    answers
-}
-
-/// Fallible [`corpus_tagged_meet`]: a remote corpus whose replicas are
-/// all down surfaces a typed [`BackendError`] that fan-out callers
+/// concatenate these in catalog order. A remote corpus whose replicas
+/// are all down surfaces a typed [`BackendError`] that fan-out callers
 /// convert into a [`crate::answer::PartialAnswer`] marker.
 pub fn try_corpus_tagged_meet(
     name: &str,
@@ -289,22 +273,22 @@ impl Catalog {
     /// unsharded here — `ncq-shard::open_catalog` is the shard-aware
     /// loader).
     pub fn open_manifest(path: impl AsRef<Path>) -> Result<Catalog, CatalogError> {
-        Catalog::open_manifest_with(path, |_entry, source| {
-            Ok(Arc::new(Database::decode_from(&source)?) as Arc<dyn MeetBackend>)
+        Catalog::open_manifest_with(path, |_entry, snap| {
+            Ok(Arc::new(Database::decode_from(snap)?) as Arc<dyn MeetBackend>)
         })
     }
 
     /// Open a manifest with a caller-chosen engine per entry. Each
-    /// corpus snapshot is opened once as a [`SnapshotSource`] and
-    /// verified before it reaches `opener`: legacy (v1/v2) files are
-    /// read into memory and hashed against the manifest's recorded
-    /// whole-file checksum; v3 files are mmapped, every section is
-    /// verified eagerly against the container's own per-section
-    /// checksums, and the mapped bytes are hashed against the
-    /// manifest's checksum so a swapped-but-internally-valid file
-    /// still fails typed (the pages are already resident from the
-    /// eager pass, so this costs no extra IO). Version and checksum
-    /// failures are typed. Serving opens that want the lazy
+    /// corpus snapshot is opened once as a [`MappedSnapshot`] and
+    /// verified before it reaches `opener`: the file is mmapped, every
+    /// section is verified eagerly against the container's own
+    /// per-section checksums, and the mapped bytes are hashed against
+    /// the manifest's recorded whole-file checksum so a
+    /// swapped-but-internally-valid file still fails typed (the pages
+    /// are already resident from the eager pass, so this costs no
+    /// extra IO). An entry recording any layout version other than
+    /// [`SNAPSHOT_VERSION`] is a typed [`CatalogError::LayoutVersion`];
+    /// checksum failures are typed too. Serving opens that want the lazy
     /// microsecond path go through [`Database::open_snapshot`]
     /// directly.
     ///
@@ -318,7 +302,7 @@ impl Catalog {
         path: impl AsRef<Path>,
         opener: impl FnMut(
             &ManifestEntry,
-            SnapshotSource,
+            &MappedSnapshot,
         ) -> Result<Arc<dyn MeetBackend>, SnapshotError>,
     ) -> Result<Catalog, CatalogError> {
         Catalog::open_manifest_remote(path, opener, crate::remote::RemoteConfig::default())
@@ -331,7 +315,7 @@ impl Catalog {
         path: impl AsRef<Path>,
         mut opener: impl FnMut(
             &ManifestEntry,
-            SnapshotSource,
+            &MappedSnapshot,
         ) -> Result<Arc<dyn MeetBackend>, SnapshotError>,
         remote_config: crate::remote::RemoteConfig,
     ) -> Result<Catalog, CatalogError> {
@@ -339,7 +323,7 @@ impl Catalog {
         let manifest = Manifest::load(path)?;
         let mut catalog = Catalog::new();
         for entry in &manifest.corpora {
-            if !(SNAPSHOT_VERSION_V1..=SNAPSHOT_VERSION).contains(&entry.layout_version) {
+            if entry.layout_version != SNAPSHOT_VERSION {
                 return Err(CatalogError::LayoutVersion {
                     name: entry.name.clone(),
                     found: entry.layout_version,
@@ -347,49 +331,35 @@ impl Catalog {
                 });
             }
             let snapshot_path = Manifest::resolve(path, entry);
-            let source = if entry.layout_version > SNAPSHOT_LEGACY_MAX {
-                MappedSnapshot::open_with(&snapshot_path, VerifyMode::Eager).and_then(|snap| {
+            let snap = MappedSnapshot::open_with(&snapshot_path, VerifyMode::Eager)
+                .and_then(|snap| {
                     if checksum64(snap.bytes()) != entry.checksum {
                         return Err(SnapshotError::ChecksumMismatch {
                             section: "manifest-recorded file checksum",
                             offset: 0,
                         });
                     }
-                    Ok(SnapshotSource::Mapped(snap))
+                    Ok(snap)
                 })
-            } else {
-                std::fs::read(&snapshot_path)
-                    .map_err(SnapshotError::Io)
-                    .and_then(|bytes| {
-                        if checksum64(&bytes) != entry.checksum {
-                            return Err(SnapshotError::ChecksumMismatch {
-                                section: "manifest-recorded file checksum",
-                                offset: 0,
-                            });
-                        }
-                        SnapshotSource::from_bytes(bytes)
-                    })
-            }
-            .map_err(|e| match e {
-                SnapshotError::ChecksumMismatch { .. } => CatalogError::ChecksumMismatch {
-                    name: entry.name.clone(),
-                },
-                error => CatalogError::Corpus {
-                    name: entry.name.clone(),
-                    error,
-                },
-            })?;
+                .map_err(|e| match e {
+                    SnapshotError::ChecksumMismatch { .. } => CatalogError::ChecksumMismatch {
+                        name: entry.name.clone(),
+                    },
+                    error => CatalogError::Corpus {
+                        name: entry.name.clone(),
+                        error,
+                    },
+                })?;
             let backend = if entry.endpoints.is_empty() {
-                opener(entry, source).map_err(|e| CatalogError::Corpus {
+                opener(entry, &snap).map_err(|e| CatalogError::Corpus {
                     name: entry.name.clone(),
                     error: e,
                 })?
             } else {
-                let resolver =
-                    Database::decode_from(&source).map_err(|e| CatalogError::Corpus {
-                        name: entry.name.clone(),
-                        error: e,
-                    })?;
+                let resolver = Database::decode_from(&snap).map_err(|e| CatalogError::Corpus {
+                    name: entry.name.clone(),
+                    error: e,
+                })?;
                 let remote = crate::remote::RemoteBackend::new(
                     resolver,
                     &entry.endpoints,
@@ -457,20 +427,6 @@ impl fmt::Debug for ForestBackend {
 impl MeetBackend for ForestBackend {
     fn store(&self) -> &MonetDb {
         self.catalog.default_backend().store()
-    }
-
-    fn search(&self, term: &str) -> HitSet {
-        self.catalog.default_backend().search(term)
-    }
-
-    fn meet_hit_groups(
-        &self,
-        inputs: &[&HitSet],
-        options: &MeetOptions,
-    ) -> Vec<crate::meet_multi::Meet> {
-        self.catalog
-            .default_backend()
-            .meet_hit_groups(inputs, options)
     }
 
     fn try_search(&self, term: &str) -> Result<HitSet, BackendError> {
@@ -590,7 +546,8 @@ mod tests {
         let opts = MeetOptions::default();
         assert_eq!(
             forest
-                .meet_terms_answers(&["Bit", "1999"], &opts)
+                .try_meet_terms_answers(&["Bit", "1999"], &opts)
+                .unwrap()
                 .to_detailed_xml(),
             direct
                 .meet_terms(&["Bit", "1999"])
@@ -693,7 +650,8 @@ mod tests {
         let answers = swapped
             .corpus("shop")
             .unwrap()
-            .meet_terms_answers(&["Bit", "1999"], &opts);
+            .try_meet_terms_answers(&["Bit", "1999"], &opts)
+            .unwrap();
         assert_eq!(answers.tags(), vec!["item"]);
         // Unknown corpus and non-forest engines fail typed.
         assert!(forest.reload_corpus("absent", &path).is_err());
@@ -736,7 +694,8 @@ mod tests {
         // Default routing follows the manifest's default index.
         assert_eq!(
             forest
-                .meet_terms_answers(&["Bit", "1999"], &MeetOptions::default())
+                .try_meet_terms_answers(&["Bit", "1999"], &MeetOptions::default())
+                .unwrap()
                 .tags(),
             vec!["item"]
         );
@@ -759,6 +718,36 @@ mod tests {
         ));
 
         for p in [&shop_snap, &mpath] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn manifest_entries_of_other_layout_versions_are_typed() {
+        use ncq_store::manifest::{Manifest, ManifestEntry};
+        let dir = std::env::temp_dir().join("ncq-catalog-layout-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let snap = dir.join("bib.ncq");
+        Database::from_xml_str(BIB)
+            .unwrap()
+            .save_snapshot(&snap)
+            .unwrap();
+        let mpath = dir.join("forest.ncqm");
+        // The retired layouts 1 and 2 and an unknown future one are
+        // refused before the snapshot file is even opened.
+        for found in [1u32, 2, 4] {
+            let mut entry = ManifestEntry::describe("bib", &snap, 1).unwrap();
+            entry.layout_version = found;
+            let mut manifest = Manifest::new();
+            manifest.push(entry).unwrap();
+            manifest.save(&mpath).unwrap();
+            assert!(matches!(
+                Catalog::open_manifest(&mpath),
+                Err(CatalogError::LayoutVersion { name, found: f, supported })
+                    if name == "bib" && f == found && supported == SNAPSHOT_VERSION
+            ));
+        }
+        for p in [&snap, &mpath] {
             std::fs::remove_file(p).ok();
         }
     }

@@ -12,8 +12,8 @@ use crate::meet_sets::{MeetError, SetMeets};
 use crate::planner::{MeetPlanner, MeetStrategy, PlanDecision};
 use crate::rank::rank_meets;
 use ncq_fulltext::{search, HitSet, InvertedIndex};
-use ncq_store::snapshot::{SnapshotError, SnapshotReader, SnapshotSource, SnapshotWriter};
-use ncq_store::{MonetDb, Oid, SnapshotWriterV3};
+use ncq_store::snapshot::SnapshotError;
+use ncq_store::{MappedSnapshot, MonetDb, Oid, SnapshotWriterV3, VerifyMode};
 use ncq_xml::{Document, ParseError};
 use std::path::Path;
 
@@ -26,8 +26,9 @@ pub struct Database {
 }
 
 /// Registry handles for the snapshot-open telemetry: open latency plus
-/// one counter per open style, so METRICS can tell mapped (v3 zero-copy)
-/// cold starts from materialized (legacy decode / no-mmap) ones.
+/// one counter per open style, so METRICS can tell mapped (zero-copy)
+/// cold starts from materialized ones — opens served from an owned
+/// arena (`NCQ_NO_MMAP`, or an open from in-memory bytes).
 fn snapshot_open_metrics() -> &'static (
     std::sync::Arc<ncq_obs::Histogram>,
     std::sync::Arc<ncq_obs::Counter>,
@@ -86,21 +87,12 @@ impl Database {
     // one file cold-starts the whole engine with no parse, no meet
     // index DFS and no re-tokenization.
 
-    /// Serialize the whole engine into a **legacy** (v1) snapshot
-    /// writer. Exposed so execution layers with extra state (e.g. a
-    /// shard partition map) can append their own sections before
-    /// writing the file, and so compatibility tests can mint
-    /// old-generation files.
-    pub fn encode_snapshot(&self) -> SnapshotWriter {
-        let mut writer = SnapshotWriter::new();
-        self.store.encode_snapshot(&mut writer);
-        self.index.encode_snapshot(&mut writer);
-        writer
-    }
-
-    /// Serialize the whole engine into a v3 snapshot writer: every
+    /// Serialize the whole engine into a snapshot writer: every
     /// section in final form, so opening the file is mmap + checksum +
-    /// pointer fixup. This is what [`Database::save_snapshot`] writes.
+    /// pointer fixup. Exposed so execution layers with extra state (a
+    /// shard partition map) can append their own sections before
+    /// writing the file. This is what [`Database::save_snapshot`]
+    /// writes.
     pub fn encode_snapshot_v3(&self) -> SnapshotWriterV3 {
         let mut writer = SnapshotWriterV3::new();
         self.store.encode_snapshot_v3(&mut writer);
@@ -108,64 +100,53 @@ impl Database {
         writer
     }
 
-    /// Reconstruct an engine from a verified **legacy** snapshot
-    /// reader.
-    pub fn decode_snapshot(reader: &SnapshotReader) -> Result<Database, SnapshotError> {
-        let store = MonetDb::decode_snapshot(reader)?;
-        let index = InvertedIndex::decode_snapshot(reader, &store)?;
+    fn decode_untimed(snap: &MappedSnapshot) -> Result<Database, SnapshotError> {
+        let store = MonetDb::decode_snapshot_v3(snap)?;
+        let index = InvertedIndex::decode_snapshot_v3(snap, &store)?;
         Ok(Database { store, index })
     }
 
-    fn decode_source_untimed(source: &SnapshotSource) -> Result<Database, SnapshotError> {
-        match source {
-            SnapshotSource::Legacy(reader) => Database::decode_snapshot(reader),
-            SnapshotSource::Mapped(snap) => {
-                let store = MonetDb::decode_snapshot_v3(snap)?;
-                let index = InvertedIndex::decode_snapshot_v3(snap, &store)?;
-                Ok(Database { store, index })
-            }
-        }
-    }
-
-    /// Reconstruct an engine from an already-opened snapshot of either
-    /// generation: legacy files decode section by section, v3 files fix
-    /// up zero-copy views over the mapped (or owned) arena.
-    pub fn decode_from(source: &SnapshotSource) -> Result<Database, SnapshotError> {
+    /// Reconstruct an engine from an already-opened snapshot: zero-copy
+    /// views over the mapped (or owned) arena.
+    pub fn decode_from(snap: &MappedSnapshot) -> Result<Database, SnapshotError> {
         let started = std::time::Instant::now();
-        let db = Database::decode_source_untimed(source)?;
-        record_snapshot_open(started, source.is_mapped());
+        let db = Database::decode_untimed(snap)?;
+        record_snapshot_open(started, snap.is_mapped());
         Ok(db)
     }
 
-    /// Save a snapshot file (atomic rename; deterministic bytes; v3
-    /// layout).
+    /// Save a snapshot file (durable atomic rename; deterministic
+    /// bytes).
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
         self.encode_snapshot_v3().write_to(path.as_ref())
     }
 
-    /// Cold-start from a snapshot file. A v3 file is mmapped and served
+    /// Cold-start from a snapshot file: the file is mmapped and served
     /// zero-copy — microseconds of header/table checksums and pointer
-    /// fixup instead of the parse → transform → index build pipeline;
-    /// legacy (v1/v2) files take the materializing decode. Version
-    /// dispatch is automatic; set `NCQ_NO_MMAP=1` to force the owned
-    /// in-memory arena for v3 files.
+    /// fixup instead of the parse → transform → index build pipeline.
+    /// Set `NCQ_NO_MMAP=1` to force the owned in-memory arena. Files of
+    /// any other layout version fail with a typed
+    /// [`SnapshotError::UnsupportedVersion`].
     pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Database, SnapshotError> {
         let started = std::time::Instant::now();
-        let source = SnapshotSource::open(path.as_ref())?;
-        let db = Database::decode_source_untimed(&source)?;
-        record_snapshot_open(started, source.is_mapped());
+        let snap = MappedSnapshot::open(path.as_ref())?;
+        let db = Database::decode_untimed(&snap)?;
+        record_snapshot_open(started, snap.is_mapped());
         Ok(db)
     }
 
-    /// The snapshot as in-memory bytes (tests and tooling; v3 layout).
+    /// The snapshot as in-memory bytes (tests and tooling).
     pub fn snapshot_to_bytes(&self) -> Vec<u8> {
         self.encode_snapshot_v3().to_bytes()
     }
 
-    /// Decode an engine from in-memory snapshot bytes of either
-    /// generation.
+    /// Decode an engine from in-memory snapshot bytes (adopted into an
+    /// owned, 64-byte-aligned arena).
     pub fn from_snapshot_bytes(bytes: Vec<u8>) -> Result<Database, SnapshotError> {
-        Database::decode_from(&SnapshotSource::from_bytes(bytes)?)
+        Database::decode_from(&MappedSnapshot::from_owned_bytes(
+            bytes,
+            VerifyMode::from_env(),
+        )?)
     }
 
     /// The underlying inverted index.
@@ -436,6 +417,46 @@ mod tests {
         let db = Database::from_xml_str(FIGURE1).unwrap();
         let answers = db.meet_terms(&["Ben", "Bit", "zzz-absent"]).unwrap();
         assert_eq!(answers.tags(), vec!["author"]);
+    }
+
+    #[test]
+    fn versions_above_current_are_typed_through_dispatch() {
+        let db = Database::from_xml_str(FIGURE1).unwrap();
+        let path = std::env::temp_dir().join(format!("ncq-db-versions-{}.ncq", std::process::id()));
+        // Every layout but the current one is refused typed — the
+        // retired layouts 1 and 2 as much as unknown future ones —
+        // through both the in-memory and the file entry point.
+        for found in [0u32, 1, 2, 4, 99] {
+            let mut bytes = db.snapshot_to_bytes();
+            bytes[8..12].copy_from_slice(&found.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            for result in [
+                Database::from_snapshot_bytes(bytes),
+                Database::open_snapshot(&path),
+            ] {
+                assert!(
+                    matches!(
+                        result,
+                        Err(SnapshotError::UnsupportedVersion { found: f, supported })
+                            if f == found && supported == ncq_store::SNAPSHOT_VERSION
+                    ),
+                    "version {found}"
+                );
+            }
+        }
+        // A file that is not a snapshot at all fails on its magic.
+        let mut bytes = db.snapshot_to_bytes();
+        bytes[0] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            Database::from_snapshot_bytes(bytes),
+            Err(SnapshotError::BadMagic)
+        ));
+        assert!(matches!(
+            Database::open_snapshot(&path),
+            Err(SnapshotError::BadMagic)
+        ));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1007,21 +1007,6 @@ impl MeetBackend for RemoteBackend {
         self.resolver.store()
     }
 
-    /// Infallible surface: degrades to an empty hit set when every
-    /// replica is down. First-class serving paths call
-    /// [`MeetBackend::try_search`] instead and surface the typed error.
-    fn search(&self, term: &str) -> HitSet {
-        self.try_search(term).unwrap_or_default()
-    }
-
-    /// Infallible surface: degrades to no meets when every replica is
-    /// down. First-class serving paths call
-    /// [`MeetBackend::try_meet_hit_groups`] instead.
-    fn meet_hit_groups(&self, inputs: &[&HitSet], options: &MeetOptions) -> Vec<Meet> {
-        self.try_meet_hit_groups(inputs, options)
-            .unwrap_or_default()
-    }
-
     fn try_search(&self, term: &str) -> Result<HitSet, BackendError> {
         match self.call(&EngineRequest::Search {
             term: term.to_owned(),
@@ -1369,13 +1354,14 @@ mod tests {
         // with generous slack for CI scheduling.
         let budget = Duration::from_secs(5);
         assert!(elapsed < budget, "took {elapsed:?}");
-        // Retries were counted, and the infallible surface degrades to
-        // empty instead of panicking.
+        // Retries were counted, the meet surface fails typed too, and
+        // the infallible search helper degrades to empty instead of
+        // panicking.
         assert!(remote.robustness_stats().retries >= 1);
         assert!(remote.search("Bit").is_empty());
         assert!(remote
-            .meet_hit_groups(&[], &MeetOptions::default())
-            .is_empty());
+            .try_meet_hit_groups(&[], &MeetOptions::default())
+            .is_err());
     }
 
     #[test]

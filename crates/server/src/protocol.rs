@@ -258,8 +258,8 @@ fn format_stats(client: &Client) -> String {
         out.push_str(&format!("\ncorpus.{name}={served}"));
     }
     // Snapshot-open telemetry: how many cold starts were served
-    // zero-copy off a mapped v3 file vs materialized (legacy decode or
-    // the no-mmap fallback). Registering the counters here also makes
+    // zero-copy off a mapped file vs from an owned arena (the no-mmap
+    // fallback, or an open from in-memory bytes). Registering the counters here also makes
     // them show up in METRICS via the registry render even before the
     // first open.
     let registry = &ncq_obs::obs().registry;

@@ -379,7 +379,9 @@ fn manifest_endpoint_entries_serve_through_remote_replicas() {
     let catalog = ncq_shard::open_catalog_remote(&mpath, fast_config()).unwrap();
     let corpus = catalog.get("fig").unwrap();
     let opts = MeetOptions::default();
-    let via_manifest = corpus.meet_terms_answers(&["Bit", "1999"], &opts);
+    let via_manifest = corpus
+        .try_meet_terms_answers(&["Bit", "1999"], &opts)
+        .unwrap();
     let local = db.meet_terms(&["Bit", "1999"]).unwrap();
     assert_eq!(via_manifest.to_detailed_xml(), local.to_detailed_xml());
 

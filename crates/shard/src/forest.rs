@@ -36,12 +36,11 @@ pub fn open_catalog_remote(
 ) -> Result<Catalog, CatalogError> {
     Catalog::open_manifest_remote(
         manifest_path,
-        |entry, source| {
+        |entry, snap| {
             if entry.shards > 1 {
-                Ok(Arc::new(ShardedDb::from_source(&source, entry.shards)?)
-                    as Arc<dyn MeetBackend>)
+                Ok(Arc::new(ShardedDb::decode_from(snap, entry.shards)?) as Arc<dyn MeetBackend>)
             } else {
-                Ok(Arc::new(Database::decode_from(&source)?) as Arc<dyn MeetBackend>)
+                Ok(Arc::new(Database::decode_from(snap)?) as Arc<dyn MeetBackend>)
             }
         },
         remote_config,
@@ -123,7 +122,8 @@ mod tests {
         let via_forest = forest
             .corpus("wide")
             .unwrap()
-            .meet_terms_answers(&["text", "3"], &opts);
+            .try_meet_terms_answers(&["text", "3"], &opts)
+            .unwrap();
         let direct = wide.meet_terms(&["text", "3"]).unwrap();
         assert_eq!(via_forest.to_detailed_xml(), direct.to_detailed_xml());
 
@@ -133,7 +133,8 @@ mod tests {
         let again = swapped
             .corpus("wide")
             .unwrap()
-            .meet_terms_answers(&["text", "3"], &opts);
+            .try_meet_terms_answers(&["text", "3"], &opts)
+            .unwrap();
         assert_eq!(again.to_detailed_xml(), direct.to_detailed_xml());
 
         for p in [&wide_snap, &narrow_snap, &mpath] {

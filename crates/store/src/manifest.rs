@@ -48,7 +48,9 @@
 //! against the manifest file's directory ([`Manifest::resolve`]), so a
 //! manifest and its snapshots move between machines as one directory.
 
-use crate::snapshot::{checksum64, SectionBuf, SectionCursor, SnapshotError, SNAPSHOT_MAGIC};
+use crate::snapshot::{
+    checksum64, write_atomic, SectionBuf, SectionCursor, SnapshotError, SNAPSHOT_MAGIC,
+};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -451,23 +453,10 @@ impl Manifest {
         Ok(Manifest { corpora, default })
     }
 
-    /// Write the manifest to `path` (atomic temp-file + rename, like
-    /// snapshot saves). The temp name is unique per process *and*
-    /// write, so concurrent saves — even to the same destination —
-    /// never scribble over each other's staging file; the last rename
-    /// wins.
+    /// Write the manifest to `path` durably and atomically, like
+    /// snapshot saves (see [`write_atomic`]).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ManifestError> {
-        static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let path = path.as_ref();
-        let bytes = self.to_bytes();
-        let seq = WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = path.with_extension(format!("tmp-manifest-{}-{seq}", std::process::id()));
-        std::fs::write(&tmp, &bytes)?;
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            std::fs::remove_file(&tmp).ok();
-            return Err(e.into());
-        }
-        Ok(())
+        Ok(write_atomic(path.as_ref(), &self.to_bytes())?)
     }
 
     /// Read and validate a manifest file.

@@ -1,19 +1,21 @@
-//! Zero-copy snapshot layout **v3**: the mapped container, the aligned
-//! writer, and the borrowed-or-owned column machinery.
+//! Zero-copy snapshot layout **v3**, the only snapshot format: the
+//! mapped container, the aligned writer, and the borrowed-or-owned
+//! column machinery.
 //!
 //! # Why
 //!
-//! The v1 loader ([`crate::snapshot::SnapshotReader`]) materializes
-//! every section and rebuilds derived state — depths, preorder
-//! intervals, sibling ranks, RMQ tables — in linear passes. That is
-//! 5–8× faster than parse+build, but a replica cold start or a
-//! `SNAPSHOT LOAD` hot swap still pays O(n) before the first query.
-//! Layout v3 stores every array in its **final in-memory form**,
-//! 64-byte aligned, so opening a snapshot is `mmap` + header/table
-//! checksum + pointer fixup: the engine serves straight out of the
-//! page cache, one physical copy shared across processes, and the
-//! first byte of a multi-gigabyte corpus is query-able in
-//! microseconds.
+//! A loader that copies every section to the heap and rebuilds derived
+//! state — depths, preorder intervals, sibling ranks, RMQ tables — in
+//! linear passes still makes a replica cold start or a `SNAPSHOT LOAD`
+//! hot swap pay O(n) before the first query. Layout v3 stores every
+//! array in its **final in-memory form**, 64-byte aligned, so opening a
+//! snapshot is `mmap` + header/table checksum + pointer fixup: the
+//! engine serves straight out of the page cache, one physical copy
+//! shared across processes, and the first byte of a multi-gigabyte
+//! corpus is query-able in microseconds. [`MappedSnapshot`] refuses
+//! every other layout version — including the retired materializing
+//! layouts 1 and 2 — with a typed
+//! [`SnapshotError::UnsupportedVersion`].
 //!
 //! # Layout (version 3)
 //!
@@ -57,9 +59,11 @@
 //!
 //! `NCQ_NO_MMAP=1` (or a non-unix target) routes opens through an
 //! owned, 64-byte-aligned heap copy of the file — the same views over
-//! the same layout, minus the shared page cache.
+//! the same layout, minus the shared page cache. Opens from in-memory
+//! bytes ([`MappedSnapshot::from_owned_bytes`]: snapshots received over
+//! the wire, tests) always take that owned arena.
 
-use crate::snapshot::{checksum64, SnapshotError, SNAPSHOT_MAGIC};
+use crate::snapshot::{checksum64, write_atomic, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use std::path::Path;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -352,9 +356,9 @@ impl std::fmt::Debug for SnapshotArena {
 
 // ----- Col: a column that is either owned or a view into the arena -----
 
-/// A read-only typed column: either an owned boxed slice (built
-/// databases, v1 loads, the no-mmap fallback) or a zero-copy view
-/// into a [`SnapshotArena`] (v3 loads). Dereferences to `&[T]` with
+/// A read-only typed column: either an owned boxed slice (databases
+/// built from XML) or a zero-copy view into a [`SnapshotArena`]
+/// (snapshot loads, mapped or owned). Dereferences to `&[T]` with
 /// no per-access branching — the pointer/length pair is resolved at
 /// construction, and the backing enum only keeps the memory alive.
 pub struct Col<T: Pod> {
@@ -481,10 +485,9 @@ impl<T: Pod + Eq> Eq for Col<T> {}
 
 // ----- v3 writer -----
 
-/// Accumulates sections, then emits the aligned v3 container. Same
-/// call-order contract as the v1 [`crate::snapshot::SnapshotWriter`]:
-/// section order is the writer's call order and every codec keeps it
-/// fixed, so v3 bytes are a pure function of the database.
+/// Accumulates sections, then emits the aligned v3 container. Section
+/// order is the writer's call order and every codec keeps it fixed, so
+/// v3 bytes are a pure function of the database.
 #[derive(Default)]
 pub struct SnapshotWriterV3 {
     sections: Vec<(u32, Vec<u8>)>,
@@ -527,7 +530,7 @@ impl SnapshotWriterV3 {
                 .sum::<usize>();
         let mut out = vec![0u8; total];
         out[..8].copy_from_slice(&SNAPSHOT_MAGIC);
-        out[8..12].copy_from_slice(&3u32.to_le_bytes());
+        out[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out[12..16].copy_from_slice(&(count as u32).to_le_bytes());
         // Payloads first (the table checksums their padded extents).
         let mut offset = payload_start;
@@ -554,19 +557,10 @@ impl SnapshotWriterV3 {
         out
     }
 
-    /// Write the snapshot to `path` atomically (temp file + rename,
-    /// unique per process and write — same contract as the v1 writer).
+    /// Write the snapshot to `path` durably and atomically (see
+    /// [`write_atomic`]).
     pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
-        static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let bytes = self.to_bytes();
-        let seq = WRITE_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = path.with_extension(format!("tmp-snapshot-{}-{seq}", std::process::id()));
-        std::fs::write(&tmp, &bytes)?;
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            std::fs::remove_file(&tmp).ok();
-            return Err(e.into());
-        }
-        Ok(())
+        Ok(write_atomic(path, &self.to_bytes())?)
     }
 }
 
@@ -581,8 +575,8 @@ impl SectionBufV3<'_> {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Embed a pre-encoded payload verbatim (the v1 codecs for the
-    /// small replay-decoded sections are reused byte-identically).
+    /// Embed a pre-encoded payload verbatim (the compact encodings of
+    /// the small sections the decoder replays).
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
@@ -669,10 +663,10 @@ impl MappedSnapshot {
             });
         }
         let version = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
-        if version != 3 {
+        if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
-                supported: crate::snapshot::SNAPSHOT_VERSION,
+                supported: SNAPSHOT_VERSION,
             });
         }
         let count = u32::from_le_bytes(data[12..16].try_into().expect("4 bytes")) as usize;
@@ -899,7 +893,8 @@ impl<'a> SectionView<'a> {
         ))
     }
 
-    /// The whole payload (for sections that embed a v1-encoded body).
+    /// The whole payload (for sections that embed a compact
+    /// length-prefixed body).
     pub fn payload(&self) -> &'a [u8] {
         &self.arena.bytes()[self.base..self.base + self.len]
     }

@@ -51,6 +51,6 @@ pub use ncq_query::{run_query, run_query_opts, QueryOptions, QueryOutput};
 pub use ncq_server::{Client, Server, ServerConfig};
 pub use ncq_shard::{open_forest, ShardedDb};
 pub use ncq_store::{
-    Manifest, ManifestEntry, ManifestError, SnapshotError, SnapshotReader, SnapshotWriter,
+    Manifest, ManifestEntry, ManifestError, MappedSnapshot, SnapshotError, SnapshotWriterV3,
     MANIFEST_VERSION, SNAPSHOT_VERSION,
 };

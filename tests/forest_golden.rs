@@ -131,7 +131,10 @@ fn three_corpus_catalog_answers_match_per_corpus_databases_byte_for_byte() {
 
         // MEET: byte-identical serialized answers.
         let expected = reference.meet_terms(&terms).unwrap().to_detailed_xml();
-        let actual = routed.meet_terms_answers(&terms, &opts).to_detailed_xml();
+        let actual = routed
+            .try_meet_terms_answers(&terms, &opts)
+            .unwrap()
+            .to_detailed_xml();
         assert_eq!(actual, expected, "{name}: MEET drifted through the catalog");
 
         // SQL: the corpus clause routes inside the evaluator.
@@ -366,7 +369,8 @@ fn manifest_cold_start_replays_the_same_answers_with_a_sharded_corpus() {
         let actual = forest
             .corpus(name)
             .unwrap()
-            .meet_terms_answers(&terms, &opts)
+            .try_meet_terms_answers(&terms, &opts)
+            .unwrap()
             .to_detailed_xml();
         assert_eq!(actual, expected, "{name}: manifest cold start drifted");
     }
@@ -379,7 +383,8 @@ fn manifest_cold_start_replays_the_same_answers_with_a_sharded_corpus() {
     let sharded_forest = ForestBackend::new(catalog).unwrap();
     assert_eq!(
         sharded_forest
-            .meet_terms_answers(&["1999", "1995"], &opts)
+            .try_meet_terms_answers(&["1999", "1995"], &opts)
+            .unwrap()
             .to_detailed_xml(),
         multimedia()
             .meet_terms(&["1999", "1995"])

@@ -15,14 +15,9 @@
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test snapshot_roundtrip
 //! ```
-//!
-//! Backward compatibility with the *older* committed fixtures
-//! (`snapshot_v1.bin`, `snapshot_v2.bin`) lives in `tests/snapshot_v3.rs`.
 
 use nearest_concept::core::{MeetOptions, MeetStrategy};
-use nearest_concept::store::{
-    MappedSnapshot, SnapshotError, SnapshotSource, VerifyMode, SNAPSHOT_VERSION,
-};
+use nearest_concept::store::{MappedSnapshot, SnapshotError, VerifyMode, SNAPSHOT_VERSION};
 use nearest_concept::xml::Document;
 use nearest_concept::{Database, ShardedDb};
 use rand::rngs::StdRng;
@@ -152,13 +147,13 @@ fn corrupt_snapshots_fail_typed_at_every_boundary() {
     let bytes = std::fs::read(&path).expect("read");
     std::fs::remove_file(&path).ok();
 
-    // Decode through the v3 mapped path with *eager* verification so a
+    // Decode through the mapped path with *eager* verification so a
     // payload flip in a lazily-checked section (columns, meet index,
     // stats) still surfaces as a typed checksum error rather than a
     // semantically-plausible wrong value.
     let decode = |data: Vec<u8>| -> Result<(), SnapshotError> {
         let snap = MappedSnapshot::from_owned_bytes(data, VerifyMode::Eager)?;
-        ShardedDb::from_source(&SnapshotSource::Mapped(snap), 4)?;
+        ShardedDb::decode_from(&snap, 4)?;
         Ok(())
     };
     decode(bytes.clone()).expect("pristine bytes decode");

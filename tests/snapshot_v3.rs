@@ -1,10 +1,6 @@
-//! v3-era snapshot integration suite, complementing
-//! `tests/snapshot_roundtrip.rs` (which pins the *current* layout):
+//! Mapped-serving snapshot integration suite, complementing
+//! `tests/snapshot_roundtrip.rs` (which pins the layout itself):
 //!
-//! * cross-version matrix — the committed v1/v2 fixtures keep loading
-//!   through the same entry points as v3 files and answer
-//!   byte-identically, and re-saving a legacy-loaded engine reproduces
-//!   the committed v3 fixture exactly (deterministic upgrade path);
 //! * length-lies in the v3 section table — entries whose extents are
 //!   forged *with a recomputed table checksum* so only per-extent
 //!   validation can catch them — surface as typed errors end-to-end;
@@ -19,14 +15,6 @@ use nearest_concept::{Database, ShardedDb};
 use std::path::PathBuf;
 use std::process::Command;
 
-fn golden(name: &str) -> Vec<u8> {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join(name);
-    std::fs::read(&path).unwrap_or_else(|e| panic!("cannot read fixture {path:?}: {e}"))
-}
-
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("ncq-snapshot-v3");
     std::fs::create_dir_all(&dir).expect("create scratch dir");
@@ -38,50 +26,6 @@ fn probe(db: &Database) -> String {
     db.meet_terms(&["Bit", "1999"])
         .expect("probe meet")
         .to_detailed_xml()
-}
-
-/// Cross-version matrix: v1, v2 and v3 fixtures of the same corpus all
-/// load through `Database::from_snapshot_bytes` / `ShardedDb` and
-/// answer byte-identically — the version dispatcher keeps old files
-/// first-class. Re-encoding a *legacy*-loaded engine under the current
-/// layout reproduces the committed v3 fixture byte-for-byte, so
-/// upgrading a snapshot is deterministic regardless of which version it
-/// started from.
-#[test]
-fn legacy_fixtures_load_byte_identically_through_the_same_entry_points() {
-    let v3 = golden("snapshot_v3.bin");
-    let reference = probe(&Database::from_snapshot_bytes(v3.clone()).expect("v3 decodes"));
-
-    for fixture in ["snapshot_v1.bin", "snapshot_v2.bin"] {
-        let bytes = golden(fixture);
-        let db = Database::from_snapshot_bytes(bytes.clone())
-            .unwrap_or_else(|e| panic!("{fixture} no longer decodes: {e}"));
-        assert_eq!(probe(&db), reference, "{fixture}: Database answers drifted");
-
-        // The sharded open reuses the persisted K = 4 cut from the
-        // legacy partition section.
-        let sharded = ShardedDb::from_snapshot_bytes(bytes, 4)
-            .unwrap_or_else(|e| panic!("{fixture} no longer decodes sharded: {e}"));
-        assert_eq!(sharded.partition().requested_k(), 4);
-        assert_eq!(
-            sharded
-                .meet_terms(&["Bit", "1999"])
-                .unwrap()
-                .to_detailed_xml(),
-            reference,
-            "{fixture}: ShardedDb answers drifted"
-        );
-
-        // Deterministic upgrade: legacy file in, current-layout bytes
-        // out, and those bytes are exactly the committed v3 fixture.
-        let mut writer = sharded.database().encode_snapshot_v3();
-        sharded.partition().encode_snapshot_v3(&mut writer);
-        assert_eq!(
-            writer.to_bytes(),
-            v3,
-            "{fixture}: re-encoding under the current layout drifted from snapshot_v3.bin"
-        );
-    }
 }
 
 /// Length-lies: forge a section-table entry (shrunken extent, overrun
